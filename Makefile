@@ -140,14 +140,16 @@ bench-serve:
 
 # Replacement-policy family gate under -race: the cross-policy
 # conformance suite (every registered policy held to the same
-# Victim/Removed/pin/Flush contract), the 2Q ghost-hygiene and
+# Victim/Removed/pin/Flush contract), the lazy-vs-eager RAP re-keying
+# parity property (RAP, RAP-headfirst and ADAPTIVE on serial and
+# sharded pools, including removals while stale), the 2Q ghost-hygiene and
 # bounded-memory regressions, the ADAPTIVE unit tests, the E26 drift
 # smoke/determinism tests, and the root-level end-to-end family tests
 # (all six policies through Session/Engine/SharedSessionPool/Router
 # with bit-identical 1-worker replay).
 policy-conformance:
 	$(GO) test -race -count=1 \
-		-run 'TestPolicyConformance|TestTwoQ|TestAdaptive|TestGhostList|TestPolicyStats|TestDrift|TestPolicyFamily' \
+		-run 'TestPolicyConformance|TestTwoQ|TestAdaptive|TestGhostList|TestPolicyStats|TestDrift|TestPolicyFamily|TestRAPLazyEagerParity' \
 		./internal/buffer ./internal/experiments .
 
 # The workload-drift sweep (E26): every replacement policy through one

@@ -81,7 +81,7 @@ type StatsReporter interface {
 // LRU — the workload-drift experiment E26 measures both transitions.
 type Adaptive struct {
 	lru *LRU
-	rap *RAP
+	rap Policy
 
 	// Shadow simulations: what each expert's cache would hold if it ran
 	// the pool alone. Shadow frames are private copies (never pinned),
@@ -110,14 +110,20 @@ type Adaptive struct {
 // and the shared ring needs the combined span so a mistake by either
 // expert stays observable while the other expert churns the pool.
 func NewAdaptive(capacity int) *Adaptive {
+	return newAdaptive(capacity, func() Policy { return NewRAP() })
+}
+
+// newAdaptive builds ADAPTIVE over a given RAP implementation for the
+// expert and its shadow (tests substitute an eager reference RAP).
+func newAdaptive(capacity int, newRAP func() Policy) *Adaptive {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &Adaptive{
 		lru:       NewLRU(),
-		rap:       NewRAP(),
+		rap:       newRAP(),
 		shadowLRU: newShadowCache(NewLRU(), capacity),
-		shadowRAP: newShadowCache(NewRAP(), capacity),
+		shadowRAP: newShadowCache(newRAP(), capacity),
 		ghosts:    newGhostList(2 * capacity),
 		wLRU:      0.5,
 		rng:       adaptiveSeed,

@@ -69,6 +69,12 @@ func (f *Frame) Pinned() bool { return f.pin > 0 }
 
 // QueryWeights reports w_{q,t} for a term under the current query (0
 // for terms not in the query). RAP uses it to value pages.
+//
+// The function must be pure and must not change once announced: RAP
+// re-keys lazily, so it may call the function at any later eviction
+// (from whichever goroutine holds the pool's latch then) until the
+// next announcement replaces it. Close over an immutable snapshot of
+// the query, never over state the caller goes on to mutate.
 type QueryWeights func(t postings.TermID) float64
 
 // Policy is a buffer replacement policy. The Manager serializes all
@@ -87,7 +93,8 @@ type Policy interface {
 	// Removed on the returned frame.
 	Victim() *Frame
 	// SetQuery informs the policy that a new query is being evaluated.
-	// Only RAP reacts: page replacement values depend on w_{q,t}.
+	// Only RAP reacts: page replacement values depend on w_{q,t}, and
+	// it applies the new weights at its next Victim.
 	SetQuery(w QueryWeights)
 }
 
@@ -112,7 +119,6 @@ type Manager struct {
 	frames   map[postings.PageID]*Frame
 	resident []int // per-term count of buffered pages (b_t)
 	stats    Stats
-	weights  QueryWeights
 
 	// retry is the fault-tolerance policy of the load path (see
 	// RetryPolicy). Written only by SetRetryPolicy at setup time.
@@ -319,16 +325,17 @@ func (m *Manager) ShardOccupancy() []int {
 }
 
 // SetQuery announces the query about to be evaluated by supplying its
-// term weights w_{q,t}. LRU and MRU ignore this; RAP re-keys every
-// buffered page's replacement value (§3.3: values change between
-// queries, so a reorganizing capability is required).
+// term weights w_{q,t}. LRU and MRU ignore this; RAP records the
+// weights and re-keys the buffered pages' replacement values at its
+// next eviction (§3.3: values change between queries, so a
+// reorganizing capability is required). The announcement itself is
+// O(1) under the latch.
 func (m *Manager) SetQuery(w QueryWeights) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if w == nil {
 		w = func(postings.TermID) float64 { return 0 }
 	}
-	m.weights = w
 	m.policy.SetQuery(w)
 }
 

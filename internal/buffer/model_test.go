@@ -83,7 +83,9 @@ func TestLRUAgainstModel(t *testing.T) {
 
 // TestRAPAgainstLinearScan: RAP's heap-based victim selection must
 // always pick the same victim a brute-force scan over (value, offset
-// desc, page) would pick.
+// desc, page) would pick, with each value computed from the spec —
+// w*_{d,t} · w_{q,t} under the test's current weights — rather than
+// read back from the policy's (lazily refreshed) cache.
 func TestRAPAgainstLinearScan(t *testing.T) {
 	ix, st := testEnv(t)
 	r := rand.New(rand.NewSource(321))
@@ -95,6 +97,7 @@ func TestRAPAgainstLinearScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Random query weights, re-keyed occasionally.
+		var cur map[postings.TermID]float64
 		setRandomQuery := func() {
 			w := make(map[postings.TermID]float64, 3)
 			for tm := postings.TermID(0); tm < 3; tm++ {
@@ -102,6 +105,7 @@ func TestRAPAgainstLinearScan(t *testing.T) {
 					w[tm] = float64(1 + r.Intn(5))
 				}
 			}
+			cur = w
 			mgr.SetQuery(func(tm postings.TermID) float64 { return w[tm] })
 		}
 		setRandomQuery()
@@ -110,13 +114,20 @@ func TestRAPAgainstLinearScan(t *testing.T) {
 				setRandomQuery()
 			}
 			// Before a potential eviction, compute the brute-force
-			// victim from the heap's own contents.
+			// victim over the heap's frames from spec values.
 			if len(pol.pq.frames) >= capacity {
-				want := bruteVictim(pol.pq.frames)
+				spec := func(f *Frame) float64 { return f.WStar * cur[f.Term] }
+				want := bruteVictim(pol.pq.frames, spec)
 				got := pol.Victim()
 				if got != want {
 					t.Fatalf("trial %d op %d: heap victim page %d, brute-force %d",
 						trial, op, got.Page, want.Page)
+				}
+				for _, f := range pol.pq.frames {
+					if f.value != spec(f) {
+						t.Fatalf("trial %d op %d: page %d valued %g at eviction, spec %g",
+							trial, op, f.Page, f.value, spec(f))
+					}
 				}
 			}
 			p := postings.PageID(r.Intn(7))
@@ -130,7 +141,7 @@ func TestRAPAgainstLinearScan(t *testing.T) {
 }
 
 // bruteVictim selects the min-(value, offset desc, page) frame.
-func bruteVictim(frames []*Frame) *Frame {
+func bruteVictim(frames []*Frame, value func(*Frame) float64) *Frame {
 	var best *Frame
 	for _, f := range frames {
 		if f.Pinned() {
@@ -140,8 +151,8 @@ func bruteVictim(frames []*Frame) *Frame {
 			best = f
 			continue
 		}
-		if f.value != best.value {
-			if f.value < best.value {
+		if v, bv := value(f), value(best); v != bv {
+			if v < bv {
 				best = f
 			}
 			continue

@@ -21,13 +21,22 @@ import (
 // determinism.
 //
 // Values are static within a query: w* is a page constant and w_{q,t}
-// only changes when the query changes. RAP therefore re-keys its
-// priority queue once per SetQuery — the "reorganizing capability" the
-// paper calls for — and pages admitted mid-query are inserted with the
-// current query's weights.
+// only changes when the query changes. A value only matters when it
+// chooses a victim, so RAP re-keys lazily — the "reorganizing
+// capability" the paper calls for, paid once per eviction-bearing
+// query instead of once per announcement. SetQuery records the new
+// weights and marks the queue stale; while stale, admissions append
+// and removals swap-delete in O(1); the first Victim after an
+// announcement recomputes every value and rebuilds the heap. Because
+// the heap order is total (value, offset, then the unique PageID),
+// the victim does not depend on the heap's layout, so lazy and eager
+// re-keying choose identical victims.
 type RAP struct {
 	pq     rapHeap
 	weight QueryWeights
+	// stale is set by SetQuery: the frames' cached values (and so the
+	// heap order) predate the current weights.
+	stale bool
 }
 
 // NewRAP returns a fresh RAP policy. Until the first SetQuery all
@@ -56,6 +65,10 @@ func (p *RAP) Name() string {
 
 // Admitted implements Policy.
 func (p *RAP) Admitted(f *Frame) {
+	if p.stale {
+		p.pq.Push(f) // valued by the next Victim's re-key
+		return
+	}
 	f.value = f.WStar * p.currentWeight(f)
 	heap.Push(&p.pq, f)
 }
@@ -66,6 +79,10 @@ func (p *RAP) Touched(*Frame) {}
 
 // Removed implements Policy.
 func (p *RAP) Removed(f *Frame) {
+	if p.stale {
+		p.pq.swapDelete(f.heapIdx)
+		return
+	}
 	heap.Remove(&p.pq, f.heapIdx)
 }
 
@@ -74,6 +91,9 @@ func (p *RAP) Removed(f *Frame) {
 // before returning, so the heap is unchanged apart from ordering among
 // equal keys (which the tie-break keys make total, hence deterministic).
 func (p *RAP) Victim() *Frame {
+	if p.stale {
+		p.rekey()
+	}
 	var pinned []*Frame
 	var victim *Frame
 	for p.pq.Len() > 0 {
@@ -93,14 +113,22 @@ func (p *RAP) Victim() *Frame {
 	return victim
 }
 
-// SetQuery implements Policy: recompute every page's replacement value
-// under the new query weights and rebuild the queue.
+// SetQuery implements Policy: record the new query weights and mark
+// the queue stale. O(1): the re-key is deferred to the next Victim, so
+// a query that evicts nothing never pays for it.
 func (p *RAP) SetQuery(w QueryWeights) {
 	p.weight = w
+	p.stale = true
+}
+
+// rekey recomputes every frame's replacement value under the current
+// weights and rebuilds the heap.
+func (p *RAP) rekey() {
 	for _, f := range p.pq.frames {
 		f.value = f.WStar * p.currentWeight(f)
 	}
 	heap.Init(&p.pq)
+	p.stale = false
 }
 
 func (p *RAP) currentWeight(f *Frame) float64 {
@@ -146,6 +174,21 @@ func (h *rapHeap) Push(x any) {
 	f := x.(*Frame)
 	f.heapIdx = len(h.frames)
 	h.frames = append(h.frames, f)
+}
+
+// swapDelete removes the frame at i by moving the last frame into its
+// slot, without restoring the heap property: only for a stale queue,
+// which is re-heapified before the next victim choice.
+func (h *rapHeap) swapDelete(i int) {
+	n := len(h.frames) - 1
+	f := h.frames[i]
+	if i != n {
+		h.frames[i] = h.frames[n]
+		h.frames[i].heapIdx = i
+	}
+	h.frames[n] = nil
+	h.frames = h.frames[:n]
+	f.heapIdx = -1
 }
 
 func (h *rapHeap) Pop() any {

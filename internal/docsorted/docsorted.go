@@ -120,7 +120,8 @@ func (e *Evaluator) Evaluate(strategy Strategy, q eval.Query) (*Result, error) {
 	e.Buf.SetQuery(func(t postings.TermID) float64 { return weights[t] })
 
 	res := &Result{}
-	acc := make(map[postings.DocID]float64, 256)
+	acc := rank.GetAccumulators(len(e.Idx.DocLen))
+	defer rank.PutAccumulators(acc)
 	limited := false // Quit/Continue switch has tripped
 
 	for _, qt := range ordered {
@@ -141,15 +142,15 @@ func (e *Evaluator) Evaluate(strategy Strategy, q eval.Query) (*Result, error) {
 			}
 			for _, entry := range frame.Data() {
 				res.EntriesProcessed++
-				if old, ok := acc[entry.Doc]; ok {
-					acc[entry.Doc] = old + rank.DocWeight(entry.Freq, tm.IDF)*wqt
+				if old, ok := acc.Get(entry.Doc); ok {
+					acc.Set(entry.Doc, old+rank.DocWeight(entry.Freq, tm.IDF)*wqt)
 					continue
 				}
 				if limited {
 					continue // Continue: no new accumulators
 				}
-				acc[entry.Doc] = rank.DocWeight(entry.Freq, tm.IDF) * wqt
-				if strategy != OR && e.AccumLimit > 0 && len(acc) >= e.AccumLimit {
+				acc.Set(entry.Doc, rank.DocWeight(entry.Freq, tm.IDF)*wqt)
+				if strategy != OR && e.AccumLimit > 0 && acc.Len() >= e.AccumLimit {
 					limited = true
 				}
 			}
@@ -157,7 +158,7 @@ func (e *Evaluator) Evaluate(strategy Strategy, q eval.Query) (*Result, error) {
 		}
 	}
 
-	res.Top = rank.TopN(acc, e.Idx.DocLen, e.TopN)
-	res.Accumulators = len(acc)
+	res.Top = acc.TopN(e.Idx.DocLen, e.TopN)
+	res.Accumulators = acc.Len()
 	return res, nil
 }

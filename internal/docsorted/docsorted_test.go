@@ -76,14 +76,15 @@ func TestORMatchesFrequencySortedExhaustive(t *testing.T) {
 	}
 	// Exhaustive scores are layout-independent: compare with a direct
 	// computation.
-	acc := map[postings.DocID]float64{}
+	var acc rank.Accumulators
+	acc.Reset(len(ix.DocLen))
 	for _, qt := range q {
 		tm := ix.Terms[qt.Term]
 		for _, e := range testLists()[qt.Term].Entries {
-			acc[e.Doc] += rank.DocWeight(e.Freq, tm.IDF) * rank.QueryWeight(qt.Fqt, tm.IDF)
+			acc.Add(e.Doc, rank.DocWeight(e.Freq, tm.IDF)*rank.QueryWeight(qt.Fqt, tm.IDF))
 		}
 	}
-	want := rank.TopN(acc, ix.DocLen, 10)
+	want := acc.TopN(ix.DocLen, 10)
 	if len(res.Top) != len(want) {
 		t.Fatalf("%d results, want %d", len(res.Top), len(want))
 	}

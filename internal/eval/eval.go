@@ -339,15 +339,17 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 		return nil, nil, err
 	}
 	// A request that is already dead must not perturb the shared
-	// query registry (RAP re-keys replacement values on every
-	// announcement).
+	// query registry (every announcement replaces the weights RAP
+	// values pages by).
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	// Announce the query to the buffer manager so RAP can re-key its
-	// replacement values (no-op for LRU/MRU). Resumed evaluations
-	// announce exactly like cold ones: the full query is what the
-	// user is running, whatever prefix of it we can avoid re-scanning.
+	// Announce the query to the buffer manager so RAP values pages by
+	// its weights (no-op for LRU/MRU). The closure reads a map no one
+	// writes after this point, as QueryWeights requires. Resumed
+	// evaluations announce exactly like cold ones: the full query is
+	// what the user is running, whatever prefix of it we can avoid
+	// re-scanning.
 	weights := make(map[postings.TermID]float64, len(q))
 	for _, qt := range q {
 		weights[qt.Term] = rank.QueryWeight(qt.Fqt, e.Idx.IDF(qt.Term))
@@ -367,10 +369,11 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 
 	start := time.Now()
 	st := &evalState{
-		acc:       make(map[postings.DocID]float64, 64),
+		acc:       rank.GetAccumulators(len(e.Idx.DocLen)),
 		res:       &Result{},
 		recording: record && algo == DF,
 	}
+	defer rank.PutAccumulators(st.acc)
 	var err error
 	switch algo {
 	case DF:
@@ -391,8 +394,8 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 			// Anytime semantics: finalize what was accumulated. No
 			// snapshot is returned — a truncated trajectory is not a
 			// legal resume point, and the caller keeps its previous one.
-			st.res.Top = rank.TopN(st.acc, e.Idx.DocLen, e.Params.TopN)
-			st.res.Accumulators = len(st.acc)
+			st.res.Top = st.acc.TopN(e.Idx.DocLen, e.Params.TopN)
+			st.res.Accumulators = st.acc.Len()
 			st.res.Smax = st.smax
 			st.res.Partial = true
 			st.res.Faults = st.faults
@@ -404,8 +407,8 @@ func (e *Evaluator) evaluate(ctx context.Context, algo Algorithm, q Query, prev 
 	}
 
 	// Steps 5-6: normalize by W_d and pick the n best.
-	st.res.Top = rank.TopN(st.acc, e.Idx.DocLen, e.Params.TopN)
-	st.res.Accumulators = len(st.acc)
+	st.res.Top = st.acc.TopN(e.Idx.DocLen, e.Params.TopN)
+	st.res.Accumulators = st.acc.Len()
 	st.res.Smax = st.smax
 	st.res.Faults = st.faults
 	st.res.Degraded = st.faults > 0
@@ -442,7 +445,9 @@ func (e *Evaluator) checkQuery(q Query) error {
 // counters, which is what makes sessions re-entrant and their
 // statistics exact when many queries run in parallel on one pool.
 type evalState struct {
-	acc    map[postings.DocID]float64
+	// acc is the candidate set A, borrowed from rank's shared free list
+	// for the duration of the call.
+	acc    *rank.Accumulators
 	smax   float64
 	faults int // term rounds abandoned under Params.FaultBudget
 	res    *Result
@@ -587,8 +592,7 @@ scan:
 			case float64(entry.Freq) > fins:
 				// Steps 4(c)i-ii: add to, or insert into, the
 				// candidate set.
-				ad := st.acc[entry.Doc] + rank.DocWeight(entry.Freq, tm.IDF)*wqt
-				st.acc[entry.Doc] = ad
+				ad := st.acc.Add(entry.Doc, rank.DocWeight(entry.Freq, tm.IDF)*wqt)
 				st.noteWrite(entry.Doc, ad)
 				if ad > st.smax {
 					st.smax = ad
@@ -596,9 +600,9 @@ scan:
 			case float64(entry.Freq) > fadd:
 				// Step 4(c)iii: only documents already in the
 				// candidate set receive the partial similarity.
-				if old, ok := st.acc[entry.Doc]; ok {
+				if old, ok := st.acc.Get(entry.Doc); ok {
 					ad := old + rank.DocWeight(entry.Freq, tm.IDF)*wqt
-					st.acc[entry.Doc] = ad
+					st.acc.Set(entry.Doc, ad)
 					st.noteWrite(entry.Doc, ad)
 					if ad > st.smax {
 						st.smax = ad

@@ -54,15 +54,16 @@ func (f *fixture) evaluator(t testing.TB, bufPages int, pol buffer.Policy, p Par
 
 // bruteForce computes the exact cosine ranking from the raw lists.
 func (f *fixture) bruteForce(q Query, topN int) []rank.ScoredDoc {
-	acc := make(map[postings.DocID]float64)
+	var acc rank.Accumulators
+	acc.Reset(len(f.ix.DocLen))
 	for _, qt := range q {
 		tm := f.ix.Terms[qt.Term]
 		wqt := rank.QueryWeight(qt.Fqt, tm.IDF)
 		for _, e := range f.lists[qt.Term].Entries {
-			acc[e.Doc] += rank.DocWeight(e.Freq, tm.IDF) * wqt
+			acc.Add(e.Doc, rank.DocWeight(e.Freq, tm.IDF)*wqt)
 		}
 	}
-	return rank.TopN(acc, f.ix.DocLen, topN)
+	return acc.TopN(f.ix.DocLen, topN)
 }
 
 // smallFixture: three terms with controlled frequencies over 10 docs.

@@ -129,7 +129,7 @@ func (e *Evaluator) replay(prev *Snapshot, p int, st *evalState) {
 	for i := 0; i < p; i++ {
 		r := prev.rounds[i]
 		for _, w := range r.Writes {
-			st.acc[w.Doc] = w.Val
+			st.acc.Set(w.Doc, w.Val)
 		}
 		st.smax = r.SmaxAfter
 		tr := r.Trace

@@ -743,13 +743,7 @@ func (r *run) provenFull() bool {
 // an early termination the excluded incomplete candidates are exactly
 // those the proof showed cannot reach the top-k.
 func (r *run) finalize() *Outcome {
-	acc := make(map[postings.DocID]float64, r.complete)
-	for doc, c := range r.cands {
-		if c.unseenLive == 0 {
-			acc[doc] = c.canon
-		}
-	}
-	r.out.Top = rank.TopN(acc, r.ix.DocLen, r.opts.TopN)
+	r.out.Top = r.topK(true)
 	r.fillStats()
 	return r.out
 }
@@ -758,14 +752,23 @@ func (r *run) finalize() *Outcome {
 // of every candidate's known partial score (DF's partial semantics),
 // returned alongside the error.
 func (r *run) partial(err error) (*Outcome, error) {
-	acc := make(map[postings.DocID]float64, len(r.cands))
-	for doc, c := range r.cands {
-		acc[doc] = c.canon
-	}
-	r.out.Top = rank.TopN(acc, r.ix.DocLen, r.opts.TopN)
+	r.out.Top = r.topK(false)
 	r.out.Partial = true
 	r.fillStats()
 	return r.out, err
+}
+
+// topK runs rank.TopN over the candidates' canonical sums — only the
+// complete candidates' when completeOnly is set.
+func (r *run) topK(completeOnly bool) []rank.ScoredDoc {
+	acc := rank.GetAccumulators(len(r.ix.DocLen))
+	defer rank.PutAccumulators(acc)
+	for doc, c := range r.cands {
+		if !completeOnly || c.unseenLive == 0 {
+			acc.Set(doc, c.canon)
+		}
+	}
+	return acc.TopN(r.ix.DocLen, r.opts.TopN)
 }
 
 // fillStats copies the run's counters into the Outcome.

@@ -52,15 +52,16 @@ func (f *fixture) exhaustive(q []QueryTerm, k int) []rank.ScoredDoc {
 			ordered[j-1], ordered[j] = b, a
 		}
 	}
-	acc := make(map[postings.DocID]float64)
+	var acc rank.Accumulators
+	acc.Reset(len(f.ix.DocLen))
 	for _, qt := range ordered {
 		idf := f.ix.IDF(qt.Term)
 		wqt := rank.QueryWeight(qt.Fqt, idf)
 		for _, e := range f.lists[qt.Term].Entries {
-			acc[e.Doc] += rank.DocWeight(e.Freq, idf) * wqt
+			acc.Add(e.Doc, rank.DocWeight(e.Freq, idf)*wqt)
 		}
 	}
-	return rank.TopN(acc, f.ix.DocLen, k)
+	return acc.TopN(f.ix.DocLen, k)
 }
 
 // skewed builds a fixture with one dominant document in the queried

@@ -5,7 +5,6 @@
 package rank
 
 import (
-	"container/heap"
 	"sort"
 
 	"bufir/internal/postings"
@@ -47,38 +46,73 @@ type ScoredDoc struct {
 	Score float64
 }
 
-// TopN returns the n highest-scoring documents among the accumulators,
+// TopN returns the n highest-scoring documents among docs, whose
+// accumulators are score[d] — the dense form Accumulators keeps —
 // normalizing each accumulator by the document's vector length W_d
-// (Figure 1, steps 5–6). Results are ordered by score descending, with
-// DocID ascending as a deterministic tie-break. Documents with
-// zero-length vectors are skipped (they cannot have accumulators in a
-// well-formed index, but the guard keeps the function total).
-func TopN(acc map[postings.DocID]float64, docLen []float64, n int) []ScoredDoc {
-	if n <= 0 || len(acc) == 0 {
+// (Figure 1, steps 5–6). docs must not repeat a document. Results are
+// ordered by score descending, with DocID ascending as a deterministic
+// tie-break; the order is total, so the result does not depend on the
+// order of docs. Documents with zero-length vectors are skipped (they
+// cannot have accumulators in a well-formed index, but the guard keeps
+// the function total).
+func TopN(docs []postings.DocID, score, docLen []float64, n int) []ScoredDoc {
+	if n <= 0 || len(docs) == 0 {
 		return nil
 	}
-	h := make(topHeap, 0, n+1)
-	for d, a := range acc {
+	// h is a min-heap under lessScored: the root is the weakest kept
+	// result, so a stronger candidate replaces it in O(log n).
+	h := make([]ScoredDoc, 0, min(n, len(docs)))
+	for _, d := range docs {
 		wd := docLen[d]
 		if wd <= 0 {
 			continue
 		}
-		sd := ScoredDoc{Doc: d, Score: a / wd}
+		sd := ScoredDoc{Doc: d, Score: score[d] / wd}
 		if len(h) < n {
-			heap.Push(&h, sd)
+			h = append(h, sd)
+			siftUp(h, len(h)-1)
 			continue
 		}
 		if lessScored(h[0], sd) {
 			h[0] = sd
-			heap.Fix(&h, 0)
+			siftDown(h, 0)
 		}
 	}
-	// Drain the min-heap into descending order.
-	out := make([]ScoredDoc, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(ScoredDoc)
+	// Heapsort in place: moving the weakest to the back each time
+	// leaves the slice in result order.
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftDown(h[:end], 0)
 	}
-	return out
+	return h
+}
+
+func siftUp(h []ScoredDoc, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !lessScored(h[i], h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func siftDown(h []ScoredDoc, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && lessScored(h[c+1], h[c]) {
+			c++
+		}
+		if !lessScored(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // lessScored orders a strictly below b: lower score first, higher
@@ -143,20 +177,4 @@ func OverlapAtK(got, want []ScoredDoc, k int) float64 {
 		}
 	}
 	return float64(hit) / float64(hit+len(wantSet))
-}
-
-// topHeap is a min-heap of ScoredDocs: the root is the weakest kept
-// result, so a stronger candidate replaces it in O(log n).
-type topHeap []ScoredDoc
-
-func (h topHeap) Len() int           { return len(h) }
-func (h topHeap) Less(i, j int) bool { return lessScored(h[i], h[j]) }
-func (h topHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *topHeap) Push(x any)        { *h = append(*h, x.(ScoredDoc)) }
-func (h *topHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

@@ -39,10 +39,22 @@ func TestWeightsAndPartialSimilarity(t *testing.T) {
 	}
 }
 
+// topNOf ranks map-held accumulators through the dense TopN; the
+// map's random iteration order also exercises TopN's independence
+// from the order of its document list.
+func topNOf(acc map[postings.DocID]float64, docLen []float64, n int) []ScoredDoc {
+	var a Accumulators
+	a.Reset(len(docLen))
+	for d, v := range acc {
+		a.Set(d, v)
+	}
+	return a.TopN(docLen, n)
+}
+
 func TestTopNBasic(t *testing.T) {
 	acc := map[postings.DocID]float64{0: 10, 1: 30, 2: 20}
 	docLen := []float64{1, 1, 1}
-	got := TopN(acc, docLen, 2)
+	got := topNOf(acc, docLen, 2)
 	if len(got) != 2 || got[0].Doc != 1 || got[1].Doc != 2 {
 		t.Errorf("TopN = %v", got)
 	}
@@ -52,7 +64,7 @@ func TestTopNNormalizesByDocLen(t *testing.T) {
 	// Doc 0 has the larger accumulator but a much longer vector.
 	acc := map[postings.DocID]float64{0: 100, 1: 60}
 	docLen := []float64{10, 2} // scores: 10 vs 30
-	got := TopN(acc, docLen, 2)
+	got := topNOf(acc, docLen, 2)
 	if got[0].Doc != 1 || math.Abs(got[0].Score-30) > 1e-12 {
 		t.Errorf("TopN normalization wrong: %v", got)
 	}
@@ -61,7 +73,7 @@ func TestTopNNormalizesByDocLen(t *testing.T) {
 func TestTopNTieBreaksByDocID(t *testing.T) {
 	acc := map[postings.DocID]float64{3: 5, 1: 5, 2: 5}
 	docLen := []float64{1, 1, 1, 1}
-	got := TopN(acc, docLen, 2)
+	got := topNOf(acc, docLen, 2)
 	if got[0].Doc != 1 || got[1].Doc != 2 {
 		t.Errorf("tie-break wrong: %v", got)
 	}
@@ -70,21 +82,21 @@ func TestTopNTieBreaksByDocID(t *testing.T) {
 func TestTopNSkipsZeroLengthDocs(t *testing.T) {
 	acc := map[postings.DocID]float64{0: 5, 1: 5}
 	docLen := []float64{0, 1}
-	got := TopN(acc, docLen, 5)
+	got := topNOf(acc, docLen, 5)
 	if len(got) != 1 || got[0].Doc != 1 {
 		t.Errorf("zero-length doc not skipped: %v", got)
 	}
 }
 
 func TestTopNEdgeCases(t *testing.T) {
-	if got := TopN(nil, nil, 5); got != nil {
+	if got := topNOf(nil, nil, 5); got != nil {
 		t.Errorf("empty acc: %v", got)
 	}
 	acc := map[postings.DocID]float64{0: 1}
-	if got := TopN(acc, []float64{1}, 0); got != nil {
+	if got := topNOf(acc, []float64{1}, 0); got != nil {
 		t.Errorf("n=0: %v", got)
 	}
-	if got := TopN(acc, []float64{1}, 10); len(got) != 1 {
+	if got := topNOf(acc, []float64{1}, 10); len(got) != 1 {
 		t.Errorf("n beyond size: %v", got)
 	}
 }
@@ -104,7 +116,7 @@ func TestTopNMatchesFullSort(t *testing.T) {
 			acc[postings.DocID(r.Intn(numDocs))] = r.Float64() * 100
 		}
 		n := 1 + r.Intn(20)
-		got := TopN(acc, docLen, n)
+		got := topNOf(acc, docLen, n)
 
 		want := make([]ScoredDoc, 0, len(acc))
 		for d, a := range acc {
@@ -141,7 +153,7 @@ func TestTopNQuickOrdering(t *testing.T) {
 			docLen[i] = 1
 		}
 		k := int(n%20) + 1
-		got := TopN(acc, docLen, k)
+		got := topNOf(acc, docLen, k)
 		if len(got) > k {
 			return false
 		}
@@ -251,7 +263,7 @@ func TestBeforeMatchesTopNOrder(t *testing.T) {
 		all = append(all, ScoredDoc{Doc: postings.DocID(d), Score: score})
 	}
 	SortDesc(all)
-	got := TopN(acc, docLen, len(all))
+	got := topNOf(acc, docLen, len(all))
 	for i := range got {
 		if got[i] != all[i] {
 			t.Fatalf("position %d: TopN %v != SortDesc %v", i, got[i], all[i])
